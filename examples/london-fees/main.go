@@ -34,9 +34,8 @@ func main() {
 
 	floor := net.BaseFee()
 	var stuckCommitAt time.Duration
-	var stuckID types.Hash
-	client.OnDecided = func(id types.Hash, _ types.ExecStatus, at time.Duration) {
-		if id == stuckID {
+	client.OnDecided = func(tk chain.Ticket, _ types.ExecStatus, at time.Duration) {
+		if tk.Token == "stuck" {
 			stuckCommitAt = at
 		}
 	}
@@ -52,7 +51,7 @@ func main() {
 				GasLimit: 21000, GasPrice: net.BaseFee() * 2,
 			}
 			w.Get(i%199 + 1).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	// Mid-burst, submit one transaction pre-signed at the old fee.
@@ -63,9 +62,8 @@ func main() {
 			GasLimit: 21000, GasPrice: floor,
 		}
 		w.Get(0).SignNext(tx)
-		stuckID = tx.ID()
 		stuckSubmitAt = sched.Now()
-		client.Submit(tx)
+		client.Submit(tx, "stuck")
 	})
 
 	fmt.Printf("%-8s %12s\n", "time", "base fee")

@@ -66,13 +66,13 @@ type Client struct {
 
 	// OnDecided fires when a submitted transaction is observed committed
 	// (and confirmed) at this client's node.
-	OnDecided func(id types.Hash, status types.ExecStatus, at time.Duration)
+	OnDecided func(t Ticket, status types.ExecStatus, at time.Duration)
 	// OnDropped fires when the node rejects a submission (mempool policy).
-	OnDropped func(id types.Hash, err error, at time.Duration)
+	OnDropped func(t Ticket, err error, at time.Duration)
 	// OnTimeout fires when the retry policy gives up on a transaction:
 	// attempts resubmissions all timed out. Requires a non-zero RetryPolicy;
 	// without one a transaction pending at a dead node lingers forever.
-	OnTimeout func(id types.Hash, attempts int, at time.Duration)
+	OnTimeout func(t Ticket, attempts int, at time.Duration)
 
 	// Retries counts resubmissions; TimedOut counts abandoned transactions.
 	Retries  int
@@ -82,18 +82,40 @@ type Client struct {
 	pending map[types.Hash]*pendingTx
 	// waiting holds txs observed in a block, awaiting confirmation depth:
 	// waiting[i] are txs from block number waitBase+i.
-	waiting  [][]decidedTx
+	waiting  [][]waitingTx
 	waitBase uint64
+}
+
+// Ticket identifies a submission in the settlement callbacks: the
+// transaction's ID, the token the caller passed to Submit, and the
+// virtual time of the submission.
+type Ticket struct {
+	ID        types.Hash
+	Token     any
+	Submitted time.Duration
 }
 
 // pendingTx tracks one submitted-but-undecided transaction, kept so the
 // retry policy can resubmit the identical signed payload (dedup at the node
-// keeps the mempool and commit accounting correct).
+// keeps the mempool and commit accounting correct). Scheduled attempts and
+// timers hold the record itself, so they test done instead of looking the
+// ID up again.
 type pendingTx struct {
+	Ticket
 	tx       *types.Transaction
 	attempts int
 	timer    sim.EventID
 	hasTimer bool
+	// done is set once the record leaves pending: settled, dropped, timed
+	// out, or replaced by a resubmission of the same transaction.
+	done bool
+}
+
+// waitingTx is one of this client's transactions seen in a block and
+// awaiting confirmation depth.
+type waitingTx struct {
+	p      *pendingTx
+	status types.ExecStatus
 }
 
 type decidedTx struct {
@@ -130,55 +152,55 @@ func (c *Client) SetRetry(p RetryPolicy) { c.retry = p }
 // submission reaches the node after the chain's client-side overhead plus
 // RPC latency; policy rejection surfaces through OnDropped, and — when a
 // retry policy is set — transient failures and silent losses are retried
-// until OnDecided or OnTimeout settles the transaction.
-func (c *Client) Submit(tx *types.Transaction) {
-	id := tx.ID()
-	p := &pendingTx{tx: tx}
-	c.pending[id] = p
+// until OnDecided or OnTimeout settles the transaction. token is returned,
+// with the submission time, in the Ticket of whichever callback settles
+// it. Resubmitting a transaction that is still pending replaces the
+// earlier record: only the newest submission's token is ever returned.
+func (c *Client) Submit(tx *types.Transaction, token any) {
+	now := c.net.Sched.Now()
+	p := &pendingTx{Ticket: Ticket{ID: tx.ID(), Token: token, Submitted: now}, tx: tx}
+	if old, ok := c.pending[p.ID]; ok {
+		old.done = true
+	}
+	c.pending[p.ID] = p
 	c.net.Obs.Submitted.Inc()
-	c.net.tracer.Submit(c.net.Sched.Now(), id, c.node.Index)
-	c.net.spans.PointTx(c.net.Sched.Now(), span.LabelSubmit, int32(c.node.Index), id)
-	c.send(id, p)
+	c.net.tracer.Submit(now, p.ID, c.node.Index)
+	c.net.spans.PointTx(now, span.LabelSubmit, int32(c.node.Index), p.ID)
+	c.send(p)
 }
 
 // send performs one submission attempt for a tracked transaction.
-func (c *Client) send(id types.Hash, p *pendingTx) {
+func (c *Client) send(p *pendingTx) {
 	delay := rpcLatency + c.net.Params.SubmitOverhead
 	c.net.spans.Hint("client.rpc", int32(c.node.Index))
 	c.net.Sched.AfterKind(sim.KindClient, delay, func() {
-		if c.pending[id] != p {
+		if p.done {
 			return // decided while the attempt was in flight
 		}
-		c.net.tracer.Send(c.net.Sched.Now(), id, c.node.Index, p.attempts)
+		c.net.tracer.Send(c.net.Sched.Now(), p.ID, c.node.Index, p.attempts)
 		err := c.node.SubmitTx(p.tx)
 		switch {
 		case err == nil:
-			c.arm(id, p)
+			c.arm(p)
 		case c.retry.Enabled() && errors.Is(err, mempool.ErrDuplicate):
 			// Already known from an earlier attempt. Poll the receipt: the
 			// transaction may have committed in a block this client never
 			// saw (its node was down when the block was decided). A real
 			// client recovers exactly this way — "already known" from the
 			// RPC, then a receipt query.
-			if r, done := c.net.Receipt(id); done {
-				c.settle(id, p)
-				c.net.Obs.Decided.Inc()
-				c.net.tracer.Commit(c.net.Sched.Now(), id, c.node.Index)
-				c.net.spans.PointTx(c.net.Sched.Now(), span.LabelCommit, int32(c.node.Index), id)
-				if c.OnDecided != nil {
-					c.OnDecided(id, r.Status, c.net.Sched.Now())
-				}
+			if r, done := c.net.Receipt(p.ID); done {
+				c.decide(p, r.Status)
 				return
 			}
 			// Still pooled; keep waiting for the decision.
-			c.arm(id, p)
+			c.arm(p)
 		case c.retry.Enabled() && retryable(err):
 			// The node is down; back off and try again.
-			c.arm(id, p)
+			c.arm(p)
 		default:
-			delete(c.pending, id)
+			c.remove(p)
 			if c.OnDropped != nil {
-				c.OnDropped(id, err, c.net.Sched.Now())
+				c.OnDropped(p.Ticket, err, c.net.Sched.Now())
 			}
 		}
 	})
@@ -186,29 +208,29 @@ func (c *Client) send(id types.Hash, p *pendingTx) {
 
 // arm starts the decision timeout for the current attempt (no-op without a
 // retry policy).
-func (c *Client) arm(id types.Hash, p *pendingTx) {
+func (c *Client) arm(p *pendingTx) {
 	if !c.retry.Enabled() {
 		return
 	}
 	c.net.spans.Hint("client.retry", int32(c.node.Index))
-	p.timer = c.net.Sched.AfterKind(sim.KindClient, c.retry.wait(p.attempts), func() { c.expire(id, p) })
+	p.timer = c.net.Sched.AfterKind(sim.KindClient, c.retry.wait(p.attempts), func() { c.expire(p) })
 	p.hasTimer = true
 }
 
 // expire handles a decision timeout: resubmit with backoff, or give up once
 // retries are exhausted.
-func (c *Client) expire(id types.Hash, p *pendingTx) {
-	if c.pending[id] != p {
+func (c *Client) expire(p *pendingTx) {
+	if p.done {
 		return
 	}
 	if p.attempts >= c.retry.MaxRetries {
-		delete(c.pending, id)
+		c.remove(p)
 		c.TimedOut++
 		c.net.TotalTimeouts++
 		c.net.Obs.Timeouts.Inc()
-		c.net.tracer.Timeout(c.net.Sched.Now(), id, p.attempts)
+		c.net.tracer.Timeout(c.net.Sched.Now(), p.ID, p.attempts)
 		if c.OnTimeout != nil {
-			c.OnTimeout(id, p.attempts, c.net.Sched.Now())
+			c.OnTimeout(p.Ticket, p.attempts, c.net.Sched.Now())
 		}
 		return
 	}
@@ -216,16 +238,30 @@ func (c *Client) expire(id types.Hash, p *pendingTx) {
 	c.Retries++
 	c.net.TotalRetries++
 	c.net.Obs.Retries.Inc()
-	c.net.tracer.Retry(c.net.Sched.Now(), id, p.attempts)
-	c.send(id, p)
+	c.net.tracer.Retry(c.net.Sched.Now(), p.ID, p.attempts)
+	c.send(p)
 }
 
-// settle removes a decided transaction, cancelling any retry timer.
-func (c *Client) settle(id types.Hash, p *pendingTx) {
+// remove takes a record out of pending and marks it done.
+func (c *Client) remove(p *pendingTx) {
+	p.done = true
+	delete(c.pending, p.ID)
+}
+
+// decide settles a committed transaction: it cancels any retry timer,
+// removes the record and fires OnDecided.
+func (c *Client) decide(p *pendingTx, status types.ExecStatus) {
 	if p.hasTimer {
 		p.timer.Cancel()
 	}
-	delete(c.pending, id)
+	c.remove(p)
+	now := c.net.Sched.Now()
+	c.net.Obs.Decided.Inc()
+	c.net.tracer.Commit(now, p.ID, c.node.Index)
+	c.net.spans.PointTx(now, span.LabelCommit, int32(c.node.Index), p.ID)
+	if c.OnDecided != nil {
+		c.OnDecided(p.Ticket, status, now)
+	}
 }
 
 // onBlock handles a committed block arriving at the client's node. mine
@@ -244,26 +280,24 @@ func (c *Client) onBlock(blk *types.Block, mine []decidedTx) {
 			slot = int(blk.Number - c.waitBase)
 		}
 		for _, d := range mine {
-			if _, ok := c.pending[d.id]; ok {
-				c.waiting[slot] = append(c.waiting[slot], d)
+			if p, ok := c.pending[d.id]; ok {
+				c.waiting[slot] = append(c.waiting[slot], waitingTx{p: p, status: d.status})
 			}
 		}
 	}
 	// Decide everything at confirmation depth.
 	confirmed := int64(blk.Number) - int64(c.net.Params.ConfirmDepth) - int64(c.waitBase)
 	for i := int64(0); i <= confirmed && i < int64(len(c.waiting)); i++ {
-		for _, d := range c.waiting[i] {
-			p, still := c.pending[d.id]
-			if !still {
-				continue
+		for _, w := range c.waiting[i] {
+			p := w.p
+			if p.done {
+				// Settled meanwhile, or replaced by a resubmission of the
+				// same transaction, whose newer record the commit settles.
+				if p = c.pending[p.ID]; p == nil {
+					continue
+				}
 			}
-			c.settle(d.id, p)
-			c.net.Obs.Decided.Inc()
-			c.net.tracer.Commit(c.net.Sched.Now(), d.id, c.node.Index)
-			c.net.spans.PointTx(c.net.Sched.Now(), span.LabelCommit, int32(c.node.Index), d.id)
-			if c.OnDecided != nil {
-				c.OnDecided(d.id, d.status, c.net.Sched.Now())
-			}
+			c.decide(p, w.status)
 		}
 		c.waiting[i] = nil
 	}

@@ -76,8 +76,8 @@ func (n *Network) SnapshotClients(e *snapshot.Encoder) {
 			h.U64(ids)
 			for _, slot := range c.waiting {
 				h.U64(uint64(len(slot)))
-				for _, d := range slot {
-					h.Bytes(d.id[:])
+				for _, w := range slot {
+					h.Bytes(w.p.ID[:])
 				}
 			}
 		}

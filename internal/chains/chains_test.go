@@ -65,14 +65,14 @@ func TestNativeTransfersCommitAllChains(t *testing.T) {
 			clients := make([]*chain.Client, 10)
 			for i := range clients {
 				clients[i] = net.NewClient(i)
-				clients[i].OnDecided = func(id types.Hash, status types.ExecStatus, at time.Duration) {
+				clients[i].OnDecided = func(tk chain.Ticket, status types.ExecStatus, at time.Duration) {
 					if status != types.StatusOK {
 						t.Errorf("transfer failed: %v", status)
 					}
 					committed++
-					lastLatency = at - submitTimes[id]
+					lastLatency = at - submitTimes[tk.ID]
 				}
-				clients[i].OnDropped = func(id types.Hash, err error, at time.Duration) {
+				clients[i].OnDropped = func(tk chain.Ticket, err error, at time.Duration) {
 					t.Errorf("transfer dropped: %v", err)
 				}
 			}
@@ -92,7 +92,7 @@ func TestNativeTransfersCommitAllChains(t *testing.T) {
 					}
 					acct.SignNext(tx)
 					submitTimes[tx.ID()] = sched.Now()
-					clients[i%10].Submit(tx)
+					clients[i%10].Submit(tx, nil)
 				})
 			}
 			sched.RunUntil(120 * time.Second)
@@ -139,7 +139,7 @@ func TestDAppInvocationAllChains(t *testing.T) {
 
 			client := net.NewClient(0)
 			okCount := 0
-			client.OnDecided = func(id types.Hash, status types.ExecStatus, at time.Duration) {
+			client.OnDecided = func(tk chain.Ticket, status types.ExecStatus, at time.Duration) {
 				if status == types.StatusOK {
 					okCount++
 				} else {
@@ -160,7 +160,7 @@ func TestDAppInvocationAllChains(t *testing.T) {
 						Data:     chain.EncodeInvokeData(calldata, 0),
 					}
 					w.Get(i % 5).SignNext(tx)
-					client.Submit(tx)
+					client.Submit(tx, nil)
 				})
 			}
 			sched.RunUntil(90 * time.Second)
@@ -214,7 +214,7 @@ func TestUberBudgetOutcomePerChain(t *testing.T) {
 			client := net.NewClient(0)
 			var got types.ExecStatus
 			decided := false
-			client.OnDecided = func(id types.Hash, status types.ExecStatus, at time.Duration) {
+			client.OnDecided = func(tk chain.Ticket, status types.ExecStatus, at time.Duration) {
 				got = status
 				decided = true
 			}
@@ -228,7 +228,7 @@ func TestUberBudgetOutcomePerChain(t *testing.T) {
 				Data:     chain.EncodeInvokeData(calldata, 0),
 			}
 			w.Get(0).SignNext(tx)
-			sched.After(time.Second, func() { client.Submit(tx) })
+			sched.After(time.Second, func() { client.Submit(tx, nil) })
 			sched.RunUntil(90 * time.Second)
 			net.Stop()
 			if !decided {
@@ -260,7 +260,7 @@ func TestQuorumCollapsesUnderSustainedOverload(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(1).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 				w.Get((batch*7 + i) % 50).SignNext(tx)
-				client.Submit(tx)
+				client.Submit(tx, nil)
 			}
 		})
 	}
@@ -275,8 +275,8 @@ func TestQuorumSurvivesBurst(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "burst", 50)
 	client := net.NewClient(0)
 	committed := 0
-	client.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { committed++ }
-	client.OnDropped = func(_ types.Hash, err error, _ time.Duration) {
+	client.OnDecided = func(chain.Ticket, types.ExecStatus, time.Duration) { committed++ }
+	client.OnDropped = func(_ chain.Ticket, err error, _ time.Duration) {
 		t.Errorf("burst tx dropped: %v", err)
 	}
 	net.Start()
@@ -287,7 +287,7 @@ func TestQuorumSurvivesBurst(t *testing.T) {
 		sched.At(time.Duration(i)*100*time.Microsecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 			w.Get(i % 50).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(180 * time.Second)
@@ -310,8 +310,8 @@ func TestBoundedChainsDropExcess(t *testing.T) {
 			w := wallet.New(wallet.FastScheme{}, "drop-"+name, 200)
 			client := net.NewClient(0)
 			dropped, committed := 0, 0
-			client.OnDropped = func(types.Hash, error, time.Duration) { dropped++ }
-			client.OnDecided = func(_ types.Hash, s types.ExecStatus, _ time.Duration) { committed++ }
+			client.OnDropped = func(chain.Ticket, error, time.Duration) { dropped++ }
+			client.OnDecided = func(_ chain.Ticket, s types.ExecStatus, _ time.Duration) { committed++ }
 			net.Start()
 			// 20k burst in one second: well above every bounded pool.
 			for i := 0; i < 20000; i++ {
@@ -319,7 +319,7 @@ func TestBoundedChainsDropExcess(t *testing.T) {
 				sched.At(time.Duration(i)*50*time.Microsecond, func() {
 					tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 					w.Get(i % 200).SignNext(tx)
-					client.Submit(tx)
+					client.Submit(tx, nil)
 				})
 			}
 			sched.RunUntil(240 * time.Second)
@@ -346,7 +346,7 @@ func TestSolanaConfirmationDepthLatency(t *testing.T) {
 	client := net.NewClient(0)
 	var latency time.Duration
 	var submitAt time.Duration
-	client.OnDecided = func(id types.Hash, s types.ExecStatus, at time.Duration) {
+	client.OnDecided = func(tk chain.Ticket, s types.ExecStatus, at time.Duration) {
 		latency = at - submitAt
 	}
 	net.Start()
@@ -354,7 +354,7 @@ func TestSolanaConfirmationDepthLatency(t *testing.T) {
 		tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 		w.Get(0).SignNext(tx)
 		submitAt = sched.Now()
-		client.Submit(tx)
+		client.Submit(tx, nil)
 	})
 	sched.RunUntil(60 * time.Second)
 	net.Stop()
@@ -379,7 +379,7 @@ func TestDeterministicRuns(t *testing.T) {
 			sched.At(time.Duration(i)*50*time.Millisecond, func() {
 				tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 				w.Get(i % 10).SignNext(tx)
-				client.Submit(tx)
+				client.Submit(tx, nil)
 			})
 		}
 		sched.RunUntil(60 * time.Second)

@@ -94,14 +94,14 @@ func (a *SimAdapter) CreateClient(endpoints []Endpoint) (Client, error) {
 		return nil, fmt.Errorf("core: endpoint %d out of range", idx)
 	}
 	c := &simClient{adapter: a, client: a.Net.NewClient(idx)}
-	c.client.OnDecided = func(id types.Hash, status types.ExecStatus, at time.Duration) {
-		c.decide(id, status, at)
+	c.client.OnDecided = func(t chain.Ticket, status types.ExecStatus, at time.Duration) {
+		c.notify(t, Observation{Submitted: t.Submitted, Decided: at, Status: status})
 	}
-	c.client.OnDropped = func(id types.Hash, err error, at time.Duration) {
-		c.drop(id, at)
+	c.client.OnDropped = func(t chain.Ticket, _ error, _ time.Duration) {
+		c.notify(t, Observation{Submitted: t.Submitted, Decided: -1, Dropped: true})
 	}
-	c.client.OnTimeout = func(id types.Hash, attempts int, at time.Duration) {
-		c.timeout(id, at)
+	c.client.OnTimeout = func(t chain.Ticket, _ int, _ time.Duration) {
+		c.notify(t, Observation{Submitted: t.Submitted, Decided: -1, TimedOut: true})
 	}
 	return c, nil
 }
@@ -111,27 +111,17 @@ type simInteraction struct {
 	tx *types.Transaction
 }
 
-// simClient is the per-worker connection.
+// simClient is the per-worker connection. The chain client carries each
+// submission's token and submit time on its pending record and hands both
+// back when the transaction settles.
 type simClient struct {
 	adapter *SimAdapter
 	client  *chain.Client
 	observe func(any, Observation)
-	// inflight maps submitted ids to their submission context.
-	inflight map[types.Hash]inflightTx
-}
-
-type inflightTx struct {
-	submitted time.Duration
-	token     any
 }
 
 // Observe implements Client.
-func (c *simClient) Observe(fn func(any, Observation)) {
-	c.observe = fn
-	if c.inflight == nil {
-		c.inflight = make(map[types.Hash]inflightTx)
-	}
-}
+func (c *simClient) Observe(fn func(any, Observation)) { c.observe = fn }
 
 // Encode implements Client: build and pre-sign the transaction.
 func (c *simClient) Encode(spec InteractionSpec) (Interaction, error) {
@@ -200,50 +190,19 @@ func (c *simClient) Encode(spec InteractionSpec) (Interaction, error) {
 	return simInteraction{tx: tx}, nil
 }
 
-// Trigger implements Client: record the submission time and send.
+// Trigger implements Client: send, tagged with the caller's token.
 func (c *simClient) Trigger(e Interaction, token any) error {
 	si, ok := e.(simInteraction)
 	if !ok {
 		return fmt.Errorf("core: foreign interaction %T", e)
 	}
-	if c.inflight == nil {
-		c.inflight = make(map[types.Hash]inflightTx)
-	}
-	now := c.adapter.Net.Sched.Now()
-	c.inflight[si.tx.ID()] = inflightTx{submitted: now, token: token}
-	c.client.Submit(si.tx)
+	c.client.Submit(si.tx, token)
 	return nil
 }
 
-func (c *simClient) decide(id types.Hash, status types.ExecStatus, at time.Duration) {
-	in, ok := c.inflight[id]
-	if !ok {
-		return
-	}
-	delete(c.inflight, id)
+// notify reports a settled submission to the observer.
+func (c *simClient) notify(t chain.Ticket, o Observation) {
 	if c.observe != nil {
-		c.observe(in.token, Observation{Submitted: in.submitted, Decided: at, Status: status})
-	}
-}
-
-func (c *simClient) timeout(id types.Hash, at time.Duration) {
-	in, ok := c.inflight[id]
-	if !ok {
-		return
-	}
-	delete(c.inflight, id)
-	if c.observe != nil {
-		c.observe(in.token, Observation{Submitted: in.submitted, Decided: -1, TimedOut: true})
-	}
-}
-
-func (c *simClient) drop(id types.Hash, at time.Duration) {
-	in, ok := c.inflight[id]
-	if !ok {
-		return
-	}
-	delete(c.inflight, id)
-	if c.observe != nil {
-		c.observe(in.token, Observation{Submitted: in.submitted, Decided: -1, Dropped: true})
+		c.observe(t.Token, o)
 	}
 }

@@ -69,6 +69,9 @@ type Pool struct {
 	dropped  uint64
 	accepted uint64
 	onAdmit  AdmitHook
+	// expect is TakeWith's per-sender next-nonce table under strict
+	// nonces, kept across takes only to reuse its storage.
+	expect map[types.Address]uint64 //lint:allow snapshotdrift scratch map, cleared at the start of every take
 }
 
 // SetAdmitHook installs the admission observer.
@@ -170,7 +173,11 @@ func (p *Pool) TakeWith(spec TakeSpec) []*types.Transaction {
 	var cost time.Duration
 	var expect map[types.Address]uint64
 	if spec.NextNonce != nil {
-		expect = make(map[types.Address]uint64)
+		if p.expect == nil {
+			p.expect = make(map[types.Address]uint64)
+		}
+		expect = p.expect
+		clear(expect)
 	}
 	kept := p.entries[:0]
 	taking := true
@@ -202,9 +209,12 @@ func (p *Pool) TakeWith(spec TakeSpec) []*types.Transaction {
 			continue
 		}
 		if spec.NextNonce != nil {
+			// Executor nonces cannot change during a take, so each
+			// sender's is looked up once, on first sight.
 			want, seen := expect[e.Tx.From]
 			if !seen {
 				want = spec.NextNonce(e.Tx.From)
+				expect[e.Tx.From] = want
 			}
 			if e.Tx.Nonce != want {
 				// Out of order: a gap stalls this sender.

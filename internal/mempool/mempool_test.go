@@ -301,3 +301,33 @@ func BenchmarkPoolAddTake(b *testing.B) {
 }
 
 var _ = fmt.Sprint // keep fmt for debugging edits
+
+// Strict nonces: a stalled sender's whole backlog stays pooled, in-order
+// senders are taken, each sender's executor nonce is looked up once per
+// take, and the next take starts from fresh executor nonces.
+func TestTakeSequencedLooksUpEachSenderOnce(t *testing.T) {
+	p := New(Policy{}, nil)
+	for i := uint64(0); i < 5; i++ {
+		if err := p.Add(tx(1, i+1), 0, 0); err != nil { // gap: nonce 0 missing
+			t.Fatal(err)
+		}
+		if err := p.Add(tx(2, i), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := map[types.Address]uint64{}
+	lookups := 0
+	nextNonce := func(a types.Address) uint64 { lookups++; return next[a] }
+
+	got := p.TakeSequenced(0, time.Minute, 0, 0, gasOf, nextNonce)
+	if len(got) != 5 || got[0].From != (types.Address{2}) || got[4].Nonce != 4 {
+		t.Fatalf("took %d txs (%v), want sender 2's five", len(got), got)
+	}
+	if lookups != 2 {
+		t.Fatalf("NextNonce called %d times, want once per sender (2)", lookups)
+	}
+	next[types.Address{1}] = 1 // the gap is filled on chain
+	if got := p.TakeSequenced(0, time.Minute, 0, 0, gasOf, nextNonce); len(got) != 5 || p.Len() != 0 {
+		t.Fatalf("second take got %d, pool left %d; want 5 and 0", len(got), p.Len())
+	}
+}

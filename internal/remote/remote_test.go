@@ -50,6 +50,16 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// onListening returns a channel closed at the Primary's first log line,
+// which RunPrimary emits once it is listening, and the Log func that
+// closes it. Secondaries wait on it so none dials before the listener
+// exists.
+func onListening() (<-chan struct{}, func(string, ...any)) {
+	ch := make(chan struct{})
+	var once sync.Once
+	return ch, func(string, ...any) { once.Do(func() { close(ch) }) }
+}
+
 // runDistributed spins up a primary and n secondaries over localhost TCP.
 func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryResult, []*SecondaryStats) {
 	t.Helper()
@@ -62,6 +72,7 @@ func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryRes
 		t.Fatal(err)
 	}
 	addr := freePort(t)
+	listening, logf := onListening()
 
 	var wg sync.WaitGroup
 	secStats := make([]*SecondaryStats, secondaries)
@@ -71,6 +82,7 @@ func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryRes
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-listening
 			st, err := RunSecondary(SecondaryConfig{
 				Primary:  addr,
 				Location: fmt.Sprintf("zone-%d", i),
@@ -85,6 +97,7 @@ func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryRes
 		Setup:         setup,
 		Benchmark:     benchmark,
 		BenchmarkYAML: benchSrc,
+		Log:           logf,
 	})
 	if err != nil {
 		t.Fatalf("primary: %v", err)
@@ -184,16 +197,19 @@ func TestDistributedAVMChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := freePort(t)
+	listening, logf := onListening()
 	var wg sync.WaitGroup
 	var secErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		<-listening
 		_, secErr = RunSecondary(SecondaryConfig{Primary: addr, Location: "tokyo"})
 	}()
 	res, err := RunPrimary(PrimaryConfig{
 		Listen: addr, Secondaries: 1,
 		Setup: setup, Benchmark: benchmark, BenchmarkYAML: benchYAML,
+		Log: logf,
 	})
 	if err != nil {
 		t.Fatalf("primary: %v", err)

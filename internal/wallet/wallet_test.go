@@ -185,3 +185,54 @@ func BenchmarkSignFast(b *testing.B) {
 		acct.Sign(tx)
 	}
 }
+
+// Sign computes the ID afresh: a hash cached before From was set (or
+// before any other field changed) must not survive signing.
+func TestSignReplacesStaleCachedID(t *testing.T) {
+	for _, s := range schemes {
+		t.Run(s.Name(), func(t *testing.T) {
+			acct := NewAccount(s, []byte("seed"))
+			tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{2}, Value: 5}
+			stale := tx.ID()
+			acct.Sign(tx)
+			want := types.HashBytes(tx.SigningBytes())
+			if tx.ID() == stale || tx.ID() != want {
+				t.Fatalf("ID after Sign = %s, want %s", tx.ID().Short(), want.Short())
+			}
+			if err := VerifyTx(s, tx); err != nil {
+				t.Fatalf("signed tx rejected: %v", err)
+			}
+		})
+	}
+}
+
+// Both schemes sign the 32-byte transaction ID.
+func TestSignatureCoversID(t *testing.T) {
+	for _, s := range schemes {
+		t.Run(s.Name(), func(t *testing.T) {
+			acct := NewAccount(s, []byte("seed"))
+			tx := &types.Transaction{Kind: types.KindInvoke, To: types.Address{3}, Data: make([]byte, 300)}
+			acct.Sign(tx)
+			id := tx.ID()
+			if !s.Verify(tx.PubKey, id[:], tx.Sig) {
+				t.Fatal("signature does not verify over the ID")
+			}
+			if s.Verify(tx.PubKey, tx.SigningBytes(), tx.Sig) {
+				t.Fatal("signature verifies over the raw encoding, not the ID")
+			}
+			tx.Data[0] = 1
+			if err := VerifyTx(s, tx); err == nil {
+				t.Fatal("calldata altered after signing accepted")
+			}
+		})
+	}
+}
+
+// Signing a transfer with FastScheme allocates only the signature.
+func TestFastSignAllocatesOnlySignature(t *testing.T) {
+	acct := NewAccount(FastScheme{}, []byte("seed"))
+	tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{2}, Value: 5}
+	if n := testing.AllocsPerRun(100, func() { acct.Sign(tx) }); n != 1 {
+		t.Fatalf("Account.Sign: %v allocs, want 1", n)
+	}
+}
